@@ -145,7 +145,9 @@ pub struct CacheStats {
     #[serde(default)]
     pub writebacks: u64,
     /// Index entries evicted because the backing store no longer held their blob
-    /// (stale entries surfaced by store-level GC or a swapped store).
+    /// (stale entries surfaced by store-level GC or a swapped store), plus the
+    /// lower tiers' `stale_drops`: disk or remote entries whose bytes were missing
+    /// or failed verification against their content digest.
     #[serde(default)]
     pub stale_evictions: u64,
 }

@@ -30,6 +30,9 @@
 //! * **Read-through with promotion:** a lower-tier hit is redeemed through the L1
 //!   flight ticket, which stores the blob, indexes the key, and wakes every parked
 //!   waiter — so a disk hit warms memory and a remote hit warms both disk and memory.
+//! * **Verified reads:** a disk or remote hit is re-hashed against the content
+//!   digest it was stored under; bytes that fail the check are dropped and served
+//!   as a miss, and the recompute writes the correct bytes back.
 //! * **Write-through:** [`CacheBackend::complete`] lands the computed output in every
 //!   configured tier before retiring the flight.
 //! * **Persistence:** the disk tier is a content-addressed blob directory plus an
@@ -162,8 +165,9 @@ pub struct DiskTierStats {
     pub bytes: u64,
     /// Entries evicted to respect the byte budget.
     pub evictions: u64,
-    /// Index entries dropped because their blob file was missing or unreadable
-    /// (journal replay after a crash, or files removed behind our back).
+    /// Index entries dropped because their blob file was missing, unreadable, or
+    /// held bytes that no longer match the indexed content digest (journal replay
+    /// after a crash, or files removed or corrupted behind our back).
     pub stale_drops: u64,
     /// Misses that were answered by waiting on (and then reading behind) another
     /// process's lock file instead of recomputing.
@@ -362,9 +366,12 @@ impl DiskTier {
         self.state.lock().index.contains_key(key.hex())
     }
 
-    /// Read the output for `key`, dropping the entry (a stale drop) when the blob
-    /// file is gone or unreadable. I/O failures degrade to a miss, never an error:
-    /// the caller simply recomputes.
+    /// Read the output for `key`, verified against the indexed content digest.
+    ///
+    /// When the blob file is gone, unreadable or holds other bytes, the entry is
+    /// dropped (a stale drop, journaled as `del`) and a corrupt file is removed, so
+    /// the recompute's [`DiskTier::store`] writes it afresh. I/O failures degrade to
+    /// a miss, never an error: the caller simply recomputes.
     ///
     /// A key absent from the in-memory index triggers a journal catch-up first, so
     /// an entry published by a concurrent builder process is found rather than
@@ -377,20 +384,22 @@ impl DiskTier {
             }
             state.index.get(key.hex()).cloned()?
         };
-        match fs::read(self.blob_path(&entry.content)) {
-            Ok(bytes) => Some(bytes),
-            Err(_) => {
-                let mut state = self.state.lock();
-                if state.index.remove(key.hex()).is_some() {
-                    let hex = key.hex().to_string();
-                    state.order.retain(|k| k != &hex);
-                    state.bytes = state.bytes.saturating_sub(entry.len);
-                    state.stale_drops += 1;
-                    let _ = writeln!(state.journal, "del {hex}");
-                }
-                None
+        let path = self.blob_path(&entry.content);
+        if let Ok(bytes) = fs::read(&path) {
+            if Digest::of_bytes(&bytes) == entry.content {
+                return Some(bytes);
             }
+            let _ = fs::remove_file(&path);
         }
+        let mut state = self.state.lock();
+        if state.index.remove(key.hex()).is_some() {
+            let hex = key.hex().to_string();
+            state.order.retain(|k| k != &hex);
+            state.bytes = state.bytes.saturating_sub(entry.len);
+            state.stale_drops += 1;
+            let _ = writeln!(state.journal, "del {hex}");
+        }
+        None
     }
 
     /// Persist `bytes` (content digest `content`) as the output for `key`.
@@ -548,11 +557,16 @@ pub struct RemoteStats {
     pub simulated_micros: u64,
     /// Objects currently held by the remote store.
     pub objects: usize,
+    /// Objects dropped because their bytes no longer matched the content digest
+    /// recorded when they were published (served as misses).
+    #[serde(default)]
+    pub stale_drops: u64,
 }
 
 #[derive(Default)]
 struct RemoteInner {
-    objects: BTreeMap<String, Blob>,
+    /// Published outputs by key hex, with the content digest they were put under.
+    objects: BTreeMap<String, (Digest, Blob)>,
     stats: RemoteStats,
 }
 
@@ -579,14 +593,25 @@ impl RemoteCache {
     }
 
     /// Fetch the output for `key`, accounting the modeled transfer.
+    ///
+    /// The downloaded bytes are verified against the content digest they were
+    /// published under. An object that fails the check is dropped (counted in
+    /// [`RemoteStats::stale_drops`]) and served as a miss, so the caller recomputes
+    /// and its write-through publishes the output afresh.
     pub fn get(&self, key: &Digest) -> Option<Vec<u8>> {
         let mut inner = self.inner.lock();
         match inner.objects.get(key.hex()).cloned() {
-            Some(blob) => {
-                inner.stats.hits += 1;
+            Some((content, blob)) => {
                 inner.stats.bytes_down += blob.len() as u64;
                 inner.stats.simulated_micros += self.model.transfer_micros(blob.len() as u64);
-                Some(blob.to_vec())
+                if Digest::of_bytes(&blob) == content {
+                    inner.stats.hits += 1;
+                    return Some(blob.to_vec());
+                }
+                inner.objects.remove(key.hex());
+                inner.stats.stale_drops += 1;
+                inner.stats.misses += 1;
+                None
             }
             None => {
                 inner.stats.misses += 1;
@@ -596,8 +621,9 @@ impl RemoteCache {
         }
     }
 
-    /// Publish the output for `key`, accounting the modeled transfer.
-    pub fn put(&self, key: &Digest, bytes: &[u8]) {
+    /// Publish `bytes` (content digest `content`) as the output for `key`,
+    /// accounting the modeled transfer.
+    pub fn put(&self, key: &Digest, content: &Digest, bytes: &[u8]) {
         let mut inner = self.inner.lock();
         inner.stats.puts += 1;
         inner.stats.bytes_up += bytes.len() as u64;
@@ -605,7 +631,7 @@ impl RemoteCache {
         inner
             .objects
             .entry(key.hex().to_string())
-            .or_insert_with(|| Blob::new(bytes.to_vec()));
+            .or_insert_with(|| (content.clone(), Blob::new(bytes.to_vec())));
     }
 
     /// A snapshot of the remote counters.
@@ -899,7 +925,7 @@ impl CacheBackend for TieredCache {
                 writebacks += 1;
             }
             if let Some(remote) = &self.remote {
-                remote.put(&ticket.digest, &bytes);
+                remote.put(&ticket.digest, &content, &bytes);
                 writebacks += 1;
             }
         }
@@ -934,6 +960,9 @@ impl CacheBackend for TieredCache {
         stats.writebacks = counters.writebacks;
         if let Some(disk) = &self.disk {
             stats.stale_evictions += disk.stats().stale_drops;
+        }
+        if let Some(remote) = &self.remote {
+            stats.stale_evictions += remote.stats().stale_drops;
         }
         stats
     }
@@ -1061,6 +1090,35 @@ mod tests {
         assert!(
             remote_stats.simulated_micros > 0,
             "transfers are cost-modeled"
+        );
+    }
+
+    #[test]
+    fn corrupt_remote_object_is_dropped_and_recomputed() {
+        let remote = RemoteCache::new(RemoteModel::default());
+        let builder = || {
+            TieredCache::new(ImageStore::new(), TierConfig::new().remote(remote.clone())).unwrap()
+        };
+        compute_once(&builder(), &key(3), b"published");
+        remote
+            .inner
+            .lock()
+            .objects
+            .get_mut(key(3).digest().hex())
+            .unwrap()
+            .1 = Blob::new(b"flipped".to_vec());
+        let cache = builder();
+        let (blob, tier) = compute_once(&cache, &key(3), b"published");
+        assert_eq!(tier, None, "the corrupt object is a miss, not a hit");
+        assert_eq!(blob, b"published");
+        let stats = remote.stats();
+        assert_eq!((stats.hits, stats.stale_drops), (0, 1));
+        assert_eq!(cache.backend_stats().stale_evictions, 1);
+        // The recompute's write-through republished the correct bytes.
+        let (blob, tier) = compute_once(&builder(), &key(3), b"unused");
+        assert_eq!(
+            (blob.to_vec(), tier),
+            (b"published".to_vec(), Some(CacheTier::Remote))
         );
     }
 

@@ -178,12 +178,9 @@ impl Image {
         RootFs::flatten(self.layers.iter())
     }
 
-    /// Total size of all layers in bytes.
+    /// Total size of all layer archives in bytes, read from the layers' seals.
     pub fn size_bytes(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.to_archive().len() as u64)
-            .sum()
+        self.layers.iter().map(|l| l.sealed().1).sum()
     }
 
     /// Number of layers.
@@ -243,8 +240,11 @@ pub struct StoreStats {
     pub dedup_hits: u64,
     /// Bytes of those short-circuited puts — storage the content addressing saved.
     pub dedup_bytes: u64,
-    /// SHA-256 digests the store computed over full payloads. Insertions through
-    /// [`ImageStore::put_blob_with_digest`] skip the hash and do not count here.
+    /// SHA-256 digests the store computed over full payloads: one per
+    /// [`ImageStore::put_blob`], and one per layer that [`ImageStore::commit`]
+    /// found unsealed and hashed. Insertions through
+    /// [`ImageStore::put_blob_with_digest`] and commits of already sealed layers
+    /// skip the hash and do not count here.
     pub digests_computed: u64,
     /// Blobs reclaimed by [`ImageStore::collect_garbage`] over the store's lifetime.
     #[serde(default)]
@@ -447,12 +447,11 @@ impl ImageStore {
         let mut diff_ids = Vec::with_capacity(image.layers.len());
         let mut history = Vec::with_capacity(image.layers.len());
         for layer in &image.layers {
-            let archive = layer.to_archive();
-            let size = archive.len() as u64;
-            let digest = self.put_blob(archive);
-            diff_ids.push(layer.diff_id());
+            let (digest, size) = self.put_layer(layer);
+            // Layers are stored uncompressed, so the blob digest is the diff ID.
+            diff_ids.push(digest.clone());
             history.push(HistoryEntry {
-                created_by: layer.created_by.clone(),
+                created_by: layer.created_by().to_string(),
                 empty_layer: layer.is_empty(),
             });
             layer_descriptors.push(Descriptor::new(MediaType::Layer, digest, size));
@@ -481,6 +480,33 @@ impl ImageStore {
             .insert(image.reference.clone(), manifest_digest.clone());
         Descriptor::new(MediaType::ImageManifest, manifest_digest, manifest_size)
             .with_platform(image.platform.clone())
+    }
+
+    /// Store a layer's archive under its sealed digest and return `(digest, size)`.
+    ///
+    /// An unsealed layer is archived and hashed once, here, and that hash counts in
+    /// [`StoreStats::digests_computed`]. A sealed layer is never hashed; its archive
+    /// is rebuilt only when this store lacks the blob, and otherwise the put counts
+    /// as a dedup hit.
+    fn put_layer(&self, layer: &Layer) -> (Digest, u64) {
+        let ((digest, size), built) = layer.seal_once();
+        let archive = match built {
+            Some(archive) => {
+                self.inner.write().digests_computed += 1;
+                archive
+            }
+            None => {
+                let mut inner = self.inner.write();
+                if inner.blobs.contains_key(digest) {
+                    inner.dedup_hits += 1;
+                    inner.dedup_bytes += size;
+                    return (digest.clone(), *size);
+                }
+                drop(inner);
+                layer.to_archive()
+            }
+        };
+        (self.put_blob_with_digest(digest.clone(), archive), *size)
     }
 
     /// Resolve a reference (tag) to its manifest digest.

@@ -7,9 +7,10 @@
 //! between configurations (dependency layers, toolchain layers, IR layers).
 
 use crate::digest::Digest;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Kind of a single entry inside a layer.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -42,12 +43,63 @@ impl LayerEntry {
     }
 }
 
+/// A layer's sealed identity: the diff ID and length of its archive, computed at
+/// most once, the first time anything asks for it.
+///
+/// Like `xir::memo::DigestCell`, the seal is a cache, not data: equality,
+/// `Debug` and serde ignore it, and `Default` and deserialization start empty.
+/// Unlike `DigestCell`, a clone *shares* the cell, because a cloned layer has the
+/// same content — so the layers an image inherits through
+/// [`Image::derive_from`](crate::image::Image::derive_from) stay sealed. Every
+/// `&mut` mutator of [`Layer`] gives the layer a fresh cell instead.
+#[derive(Clone, Default)]
+struct Seal(Arc<OnceLock<(Digest, u64)>>);
+
+impl Seal {
+    /// Always `true`: the seal never appears in serialized output.
+    fn skip(&self) -> bool {
+        true
+    }
+}
+
+impl PartialEq for Seal {
+    fn eq(&self, _other: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Seal {}
+
+impl Serialize for Seal {
+    /// Never called in practice (the field is always skipped).
+    fn to_value(&self) -> Value {
+        Value::Null
+    }
+}
+
+impl Deserialize for Seal {
+    /// A decoded layer recomputes its identity from its own content.
+    fn from_value(_value: &Value) -> Result<Self, serde::Error> {
+        Ok(Self::default())
+    }
+}
+
 /// A single filesystem layer: a deterministic map from paths to entries.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct Layer {
-    /// Human-readable description, recorded in the image history.
-    pub created_by: String,
+    created_by: String,
     entries: BTreeMap<String, LayerEntry>,
+    #[serde(default, skip_serializing_if = "Seal::skip")]
+    seal: Seal,
+}
+
+impl fmt::Debug for Layer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Layer")
+            .field("created_by", &self.created_by)
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl Layer {
@@ -56,19 +108,36 @@ impl Layer {
         Self {
             created_by: created_by.into(),
             entries: BTreeMap::new(),
+            seal: Seal::default(),
         }
+    }
+
+    /// Human-readable description of the step that created the layer, recorded in
+    /// the image history.
+    pub fn created_by(&self) -> &str {
+        &self.created_by
+    }
+
+    /// Insert an entry, unsealing the layer: its content is about to differ from
+    /// any clone that shares the current seal.
+    fn insert(&mut self, path: String, entry: LayerEntry) -> &mut Self {
+        match Arc::get_mut(&mut self.seal.0) {
+            Some(cell) => drop(cell.take()),
+            None => self.seal = Seal::default(),
+        }
+        self.entries.insert(normalize_path(&path), entry);
+        self
     }
 
     /// Add (or replace) a regular file.
     pub fn add_file(&mut self, path: impl Into<String>, content: impl Into<Vec<u8>>) -> &mut Self {
-        self.entries.insert(
-            normalize_path(&path.into()),
+        self.insert(
+            path.into(),
             LayerEntry::File {
                 content: content.into(),
                 mode: 0o644,
             },
-        );
-        self
+        )
     }
 
     /// Add (or replace) an executable file.
@@ -77,14 +146,13 @@ impl Layer {
         path: impl Into<String>,
         content: impl Into<Vec<u8>>,
     ) -> &mut Self {
-        self.entries.insert(
-            normalize_path(&path.into()),
+        self.insert(
+            path.into(),
             LayerEntry::File {
                 content: content.into(),
                 mode: 0o755,
             },
-        );
-        self
+        )
     }
 
     /// Add a text file (convenience wrapper over [`Layer::add_file`]).
@@ -94,27 +162,22 @@ impl Layer {
 
     /// Add a directory marker.
     pub fn add_directory(&mut self, path: impl Into<String>) -> &mut Self {
-        self.entries
-            .insert(normalize_path(&path.into()), LayerEntry::Directory);
-        self
+        self.insert(path.into(), LayerEntry::Directory)
     }
 
     /// Add a symlink.
     pub fn add_symlink(&mut self, path: impl Into<String>, target: impl Into<String>) -> &mut Self {
-        self.entries.insert(
-            normalize_path(&path.into()),
+        self.insert(
+            path.into(),
             LayerEntry::Symlink {
                 target: target.into(),
             },
-        );
-        self
+        )
     }
 
     /// Record a whiteout (deletion of a path provided by a lower layer).
     pub fn add_whiteout(&mut self, path: impl Into<String>) -> &mut Self {
-        self.entries
-            .insert(normalize_path(&path.into()), LayerEntry::Whiteout);
-        self
+        self.insert(path.into(), LayerEntry::Whiteout)
     }
 
     /// Number of entries in this layer.
@@ -204,8 +267,28 @@ impl Layer {
     }
 
     /// The diff ID: digest of the uncompressed archive (as in OCI image config `rootfs.diff_ids`).
+    ///
+    /// Read from the layer's seal: a layer and its clones hash their archive at most once.
     pub fn diff_id(&self) -> Digest {
-        Digest::of_bytes(&self.to_archive())
+        self.sealed().0.clone()
+    }
+
+    /// The sealed `(diff ID, archive length)`, computed on first use.
+    pub(crate) fn sealed(&self) -> &(Digest, u64) {
+        self.seal_once().0
+    }
+
+    /// Like [`Layer::sealed`], also returning the archive when this call is the
+    /// one that built and hashed it (`None` when the layer was already sealed).
+    pub(crate) fn seal_once(&self) -> (&(Digest, u64), Option<Vec<u8>>) {
+        let mut built = None;
+        let sealed = self.seal.0.get_or_init(|| {
+            let archive = self.to_archive();
+            let identity = (Digest::of_bytes(&archive), archive.len() as u64);
+            built = Some(archive);
+            identity
+        });
+        (sealed, built)
     }
 }
 
@@ -401,6 +484,47 @@ mod tests {
         let mut b = Layer::new("x");
         b.add_text("/b", "2").add_text("/a", "1");
         assert_eq!(a.diff_id(), b.diff_id());
+    }
+
+    #[test]
+    fn clones_share_the_seal_and_mutators_reset_it() {
+        let layer = sample_layer();
+        let clone = layer.clone();
+        let sealed = layer.diff_id();
+        assert!(clone.seal.0.get().is_some(), "a clone shares the seal");
+        let mut edited = clone.clone();
+        edited.add_whiteout("/app/build");
+        assert!(
+            edited.seal.0.get().is_none(),
+            "a mutated clone starts unsealed"
+        );
+        assert_ne!(edited.diff_id(), sealed);
+        assert_eq!(clone.diff_id(), sealed, "the shared seal is untouched");
+        let mut owned = sample_layer();
+        owned.diff_id();
+        owned.add_directory("/tmp");
+        assert!(
+            owned.seal.0.get().is_none(),
+            "a sole owner's seal is reset too"
+        );
+    }
+
+    #[test]
+    fn seal_is_ignored_by_equality_debug_and_serde() {
+        let sealed = sample_layer();
+        sealed.diff_id();
+        let unsealed = sample_layer();
+        assert_eq!(sealed, unsealed);
+        assert_eq!(format!("{sealed:?}"), format!("{unsealed:?}"));
+        let json = serde_json::to_string(&sealed).unwrap();
+        assert_eq!(json, serde_json::to_string(&unsealed).unwrap());
+        assert!(!json.contains("seal"));
+        let back: Layer = serde_json::from_str(&json).unwrap();
+        assert!(
+            back.seal.0.get().is_none(),
+            "a decoded layer starts unsealed"
+        );
+        assert_eq!(back.diff_id(), sealed.diff_id());
     }
 
     #[test]

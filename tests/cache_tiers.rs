@@ -13,7 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use xaas::prelude::*;
 use xaas::service::{OrchestratorService, ServiceLimits};
 use xaas_buildsys::OptionAssignment;
-use xaas_container::{CacheTier, RemoteCache, RemoteModel, TierConfig};
+use xaas_container::{
+    BuildKey, CacheBackend, CacheTier, Digest, ImageStore, RemoteCache, RemoteModel, TierConfig,
+    TieredCache, TryBegin,
+};
 use xaas_hpcsim::SystemModel;
 
 /// A unique scratch directory under the OS temp dir (pid + counter keep
@@ -210,6 +213,63 @@ fn store_gc_reclaims_orphans_but_keeps_the_warm_path_intact() {
     assert_eq!(rerun.cache.misses, 0, "GC never invalidated a live entry");
     let rerun_images: Vec<Image> = rerun.deployments().map(|d| d.image.clone()).collect();
     assert_eq!(images, rerun_images, "byte-identical after the sweep");
+}
+
+/// One lookup of `key`: a hit returns its bytes and tier, a miss computes
+/// `payload` as the owner and returns `None`.
+fn lookup(cache: &TieredCache, key: &BuildKey, payload: &[u8]) -> Option<(Vec<u8>, CacheTier)> {
+    match cache.try_begin_traced(key) {
+        (TryBegin::Hit(blob), tier) => Some((blob.to_vec(), tier.expect("hits carry a tier"))),
+        (TryBegin::Owner(ticket), _) => {
+            cache.complete(ticket, payload.to_vec());
+            None
+        }
+        (TryBegin::InFlight(_), _) => panic!("no concurrent flights in this test"),
+    }
+}
+
+#[test]
+fn corrupt_disk_blob_is_dropped_recomputed_and_repaired() {
+    let root = ScratchRoot::new("corrupt");
+    let open = || {
+        TieredCache::new(ImageStore::new(), TierConfig::new().disk_root(root.path()))
+            .expect("tier stack initializes")
+    };
+    let key = BuildKey::new("tu0", "x86-avx2", "defs=;openmp=true;opt=O3", "xirc");
+    let payload = b"machine module bytes".to_vec();
+    assert_eq!(lookup(&open(), &key, &payload), None, "cold miss computes");
+
+    // Overwrite the one blob file with other bytes behind the tier's back.
+    let blob_file = root
+        .path()
+        .join("blobs")
+        .join(Digest::of_bytes(&payload).hex());
+    std::fs::write(&blob_file, b"bit-rotted bytes").expect("blob file is writable");
+
+    // The reopened tier must not serve the corrupt bytes: the read is verified
+    // against the indexed content digest, dropped, and recomputed.
+    let cache = open();
+    assert_eq!(
+        lookup(&cache, &key, &payload),
+        None,
+        "corrupt blob is a miss"
+    );
+    let disk = cache.disk_stats().expect("disk tier");
+    assert_eq!(disk.stale_drops, 1, "the corrupt entry is counted");
+    assert_eq!(cache.backend_stats().disk_hits, 0);
+    assert_eq!(
+        lookup(&cache, &key, &payload),
+        Some((payload.clone(), CacheTier::Memory)),
+        "L1 holds the recomputed bytes, not the corrupt ones"
+    );
+    drop(cache);
+
+    // The recompute rewrote the file, so the next restart serves it from disk.
+    assert_eq!(std::fs::read(&blob_file).expect("repaired"), payload);
+    assert_eq!(
+        lookup(&open(), &key, &payload),
+        Some((payload.clone(), CacheTier::Disk))
+    );
 }
 
 #[test]

@@ -43,6 +43,42 @@ proptest! {
         prop_assert!(root.len() <= files.len());
     }
 
+    /// A layer's sealed diff ID always matches its content. Any sequence of mutators,
+    /// on a fresh layer or on a clone of a sealed one, with the seal read at random
+    /// points in between, leaves `diff_id()` equal to a fresh hash of the archive,
+    /// and the un-mutated original keeps its seal.
+    #[test]
+    fn sealed_diff_id_tracks_every_mutation(
+        ops in proptest::collection::vec(0u8..6, 0..8),
+        reads in proptest::collection::vec(0u8..2, 8),
+        paths in proptest::collection::vec("[a-z]{1,6}", 8),
+        contents in proptest::collection::vec("[ -~]{0,16}", 8),
+        from_clone in 0u8..2,
+    ) {
+        let mut original = Layer::new("base");
+        original.add_text("/seed", "seed");
+        let sealed = original.diff_id();
+        let mut layer = if from_clone == 1 { original.clone() } else { Layer::new("fresh") };
+        for (i, op) in ops.iter().enumerate() {
+            let path = format!("/{}", paths[i]);
+            let content = contents[i].clone();
+            match op {
+                0 => layer.add_file(path, content.into_bytes()),
+                1 => layer.add_executable(path, content.into_bytes()),
+                2 => layer.add_text(path, content),
+                3 => layer.add_directory(path),
+                4 => layer.add_symlink(path, content),
+                _ => layer.add_whiteout(path),
+            };
+            if reads[i] == 1 {
+                prop_assert_eq!(layer.diff_id(), Digest::of_bytes(&layer.to_archive()));
+            }
+        }
+        prop_assert_eq!(layer.diff_id(), Digest::of_bytes(&layer.to_archive()));
+        prop_assert_eq!(original.diff_id(), sealed.clone());
+        prop_assert_eq!(sealed, Digest::of_bytes(&original.to_archive()));
+    }
+
     /// The interpreter computes identical results regardless of the vector width chosen at
     /// lowering time (the correctness half of "delay vectorization until deployment").
     #[test]

@@ -3,12 +3,15 @@
 //! The tier-1 byte-identity properties (parallel vs serial, warm vs cold) live in
 //! `property_pipeline.rs`; this file checks the *mechanism* behind them: handles
 //! returned by the store and the cache share one allocation (proved by pointer
-//! identity, not just byte equality), digest-known insertion never re-hashes, and
-//! a store raced by many writers stores and hashes a payload exactly once.
+//! identity, not just byte equality), digest-known insertion never re-hashes, a
+//! store raced by many writers stores and hashes a payload exactly once, and a
+//! commit hashes only the layers that are not sealed yet.
 
 use proptest::prelude::*;
+use xaas::prelude::*;
 use xaas_container::digest::Digest;
 use xaas_container::{ActionCache, Blob, BuildKey, ImageStore};
+use xaas_hpcsim::SystemModel;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -111,5 +114,71 @@ fn concurrent_writers_store_and_hash_a_payload_exactly_once() {
                 "every racer ends up holding the surviving allocation"
             );
         }
+    }
+}
+
+/// A GROMACS IR container built (and so committed) through an orchestrator.
+fn gromacs_build(orch: &Orchestrator) -> IrContainerBuild {
+    let project = xaas_apps::gromacs::project();
+    let config = IrPipelineConfig::sweep_options(&project, &["GMX_SIMD"])
+        .with_values("GMX_SIMD", &["AVX2_256", "AVX_512"]);
+    IrBuildRequest::new(&project, &config)
+        .reference("seal:gromacs:ir")
+        .submit(orch)
+        .expect("IR container builds")
+}
+
+/// The build's commit seals the layers a deploy inherits, so a deploy's commit
+/// hashes exactly its one new top layer, its config and its manifest.
+#[test]
+fn deploy_commit_hashes_only_its_new_layer_config_and_manifest() {
+    let orch = Orchestrator::builder().workers(2).build();
+    let build = gromacs_build(&orch);
+    let project = xaas_apps::gromacs::project();
+    let deploy = || {
+        IrDeployRequest::new(&build, &project, &SystemModel::ault23())
+            .submit(&orch)
+            .expect("IR deploy succeeds")
+    };
+    // The first deploy lowers (and stores) machine modules; the second hits the
+    // cache for every keyed action, so only its commit touches the store.
+    let first = deploy();
+    let before = orch.store().digests_computed();
+    let second = deploy();
+    assert!(first.actions.executed > 0);
+    assert_eq!(second.actions.executed, 0, "every keyed action hits");
+    assert_eq!(orch.store().digests_computed() - before, 3);
+    assert_eq!(first.image, second.image, "warm deploy is byte-identical");
+    assert_eq!(
+        second.image.layer_count(),
+        build.image.layer_count() + 1,
+        "one new top layer over the inherited ones"
+    );
+}
+
+/// Committing sealed layers into a store that lacks their blobs stores every
+/// layer anyway, without hashing any: the image loads back byte-identically and
+/// a GC sweep keeps every layer.
+#[test]
+fn sealed_image_commits_whole_into_a_fresh_store() {
+    let orch = Orchestrator::builder().workers(2).build();
+    let build = gromacs_build(&orch);
+    let fresh = ImageStore::new();
+    let descriptor = fresh.commit(&build.image);
+    assert_eq!(fresh.digests_computed(), 2, "config and manifest only");
+    assert_eq!(
+        fresh.blob(&descriptor.digest).unwrap(),
+        orch.store().blob(&descriptor.digest).unwrap(),
+        "same manifest bytes as the original commit"
+    );
+    let loaded = fresh.load(&build.reference).expect("image loads");
+    assert_eq!(loaded, build.image);
+    for (loaded, original) in loaded.layers.iter().zip(&build.image.layers) {
+        assert_eq!(loaded.to_archive(), original.to_archive());
+    }
+    let report = fresh.collect_garbage(&[]);
+    assert_eq!(report.blobs_removed, 0);
+    for layer in &fresh.manifest(&descriptor.digest).unwrap().layers {
+        assert!(fresh.has_blob(&layer.digest), "layer {} kept", layer.digest);
     }
 }
